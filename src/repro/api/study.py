@@ -46,7 +46,6 @@ from repro.core.replay import ReplayResult
 from repro.core.replay import replay as _replay_trace
 from repro.core.serving_metrics import (
     ServingMetrics,
-    compute_serving_metrics,
     metrics_from_task_times,
     stream_plan_of,
 )
@@ -185,7 +184,7 @@ class Prediction:
     @property
     def is_stream(self) -> bool:
         """Whether the predicted graph is a continuous-batching episode."""
-        return stream_plan_of(self.result.graph.metadata) is not None
+        return self.result.stream_plan is not None
 
     def serving_metrics(self, deadline_ms: float | None = None) -> ServingMetrics | None:
         """Per-request serving metrics of the predicted episode.
@@ -195,11 +194,7 @@ class Prediction:
         episodes).  ``deadline_ms`` sets the SLO-attainment deadline
         (default :data:`~repro.core.serving_metrics.DEFAULT_SLO_MS`).
         """
-        plan = stream_plan_of(self.result.graph.metadata)
-        if plan is None:
-            return None
-        return compute_serving_metrics(self.result.simulation, plan,
-                                       deadline_ms=deadline_ms)
+        return self.result.serving_metrics(deadline_ms)
 
 
 class WhatIfBuilder:
@@ -276,11 +271,11 @@ class WhatIfBuilder:
             collected: dict[int, ServingMetrics] = {}
             collect = None
             if plan is not None:
-                tasks = session.compiled.tasks
+                compiled = session.compiled
 
                 def collect(row: int, starts, durations) -> None:
                     collected[row] = metrics_from_task_times(
-                        tasks, starts, durations, plan)
+                        compiled, starts, durations, plan)
 
             results = whatif_mod.evaluate_scenarios(graph, self._scenarios,
                                                     baseline=baseline,
@@ -543,11 +538,7 @@ class Study:
         ``None`` unless the base trace is a continuous-batching serving
         episode (see :attr:`stream_plan`).
         """
-        plan = self.stream_plan
-        if plan is None:
-            return None
-        return compute_serving_metrics(self.replay().simulation, plan,
-                                       deadline_ms=deadline_ms)
+        return self.replay().serving_metrics(deadline_ms)
 
     def prepare(self) -> "Study":
         """Force-materialise the base replay and perf model; returns self.
@@ -766,7 +757,7 @@ class Study:
                     # reuse its compiled graph and its run.
                     result = self.replay()
                     session = result.session()
-                    run = result.base_run or session.run()
+                    run = result.base_run
                 else:
                     # Pickled for a worker process: rebuild from the base
                     # graph carried in the snapshot.
@@ -853,14 +844,11 @@ class Study:
             with observability.trace_span("study.predict", kind=kind,
                                           target=label):
                 graph, world_size = self.derived_graph(kind, label)
-                session, run = self.config_session(kind, label)
-                simulation = run.to_simulation_result()
-                result = ReplayResult(graph=graph, simulation=simulation,
-                                      replayed_trace=simulation.to_trace_bundle(),
-                                      compiled=session.compiled)
+                _, run = self.config_session(kind, label)
                 self._predictions[key] = Prediction(
                     target=label, kind=kind, world_size=world_size,
-                    base_time_us=self.base_time_us, result=result)
+                    base_time_us=self.base_time_us,
+                    result=ReplayResult(graph=graph, base_run=run))
             observability.count("study.predictions")
         return self._predictions[key]
 

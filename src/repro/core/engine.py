@@ -31,8 +31,8 @@ the seed algorithm).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -81,10 +81,27 @@ class CompiledGraph:
     group_id: np.ndarray
     #: Group members (dense indices, ascending) per group slot.
     group_members: tuple[tuple[int, ...], ...]
+    #: Analysis structures built on first use (see :meth:`cached`).
+    _cache: dict[str, Any] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
+
+    def cached(self, key: str, build: Callable[["CompiledGraph"], Any]) -> Any:
+        """``build(self)``, memoized under ``key`` on this compiled graph.
+
+        Result analyses (breakdown masks, serving sample indices) index
+        the dense task order; they are built on the first request rather
+        than in :func:`compile_graph`, so callers that never read them pay
+        nothing.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(self)
+            return value
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -237,10 +254,18 @@ def _topological_order(n: int, indegree: np.ndarray, indptr: np.ndarray,
 class SessionRun:
     """Timings of one :meth:`SimulationSession.run` call, as flat arrays.
 
+    This is the result every prediction is read from: the iteration time
+    (:attr:`iteration_time_us`), the execution breakdown
+    (:func:`repro.core.breakdown.compute_breakdown`) and serving metrics
+    (:func:`repro.core.serving_metrics.compute_serving_metrics`) are
+    computed from these arrays directly.
+
     ``starts``/``durations`` are dense-indexed (``compiled.tasks`` order);
-    ``finalize_order`` records the order tasks were scheduled in, which the
-    compatibility layer uses to materialise a :class:`SimulationResult`
-    whose dict iteration order matches the seed scheduler exactly.
+    ``finalize_order`` records the order tasks were scheduled in, which
+    :meth:`to_simulation_result` uses to materialise a
+    :class:`~repro.core.simulator.SimulationResult` (for timeline export
+    and critical-path analysis) whose dict iteration order matches the
+    seed scheduler exactly.
     """
 
     compiled: CompiledGraph
@@ -268,10 +293,13 @@ class SessionRun:
     def iteration_time_us(self) -> float:
         """Global span (earliest start to latest end) in microseconds.
 
-        Matches ``SimulationResult.to_trace_bundle().iteration_time()``:
-        the simulated bundle wraps each rank's events in one profiler-step
-        annotation, so the bundle-level iteration time collapses to the
-        global task span.
+        This is the iteration time of every prediction, sweep row and
+        what-if scenario.  It equals ``to_simulation_result()
+        .to_trace_bundle().iteration_time()`` whenever every rank has a
+        task starting at the earliest start, as every graph the builder
+        and the manipulations produce does.  Otherwise the bundle closes a
+        later-starting rank's profiler step at ``first + (last - first)``,
+        which can round one ulp away from ``last``.
         """
         if len(self.starts) == 0:
             return 0.0

@@ -25,8 +25,11 @@ golden snapshots are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from repro.core.engine import CompiledGraph, SessionRun
 from repro.core.tasks import Task
 from repro.observability import tracing as observability
 from repro.workload.arrivals import STREAM_METADATA_KEY, StreamPlan
@@ -179,27 +182,60 @@ def stream_plan_of(metadata: Mapping[str, Any]) -> StreamPlan | None:
     return StreamPlan.from_json(payload)
 
 
-def _metrics_from_events(events: Iterator[tuple[Task, float, float]],
-                         plan: StreamPlan,
-                         deadline_ms: float | None) -> ServingMetrics:
-    """Core computation over (task, start, end) timing triples."""
-    anchor: float | None = None
-    sample_ends: dict[tuple[str, int], float] = {}
-    for task, start, end in events:
-        if anchor is None or start < anchor:
-            anchor = start
+@dataclass(frozen=True)
+class _SampleTokens:
+    """Where a graph samples tokens: dense task indices grouped by phase key."""
+
+    #: Dense indices of the ``sample_token`` prefill/decode tasks.
+    indices: np.ndarray
+    #: Per entry of ``indices``: its slot in ``keys``.
+    slots: np.ndarray
+    #: Distinct ``(phase, microbatch)`` keys, in first-seen order.
+    keys: tuple[tuple[str, int], ...]
+
+
+def _sample_tokens(tasks: Sequence[Task]) -> _SampleTokens:
+    indices: list[int] = []
+    slots: list[int] = []
+    keys: dict[tuple[str, int], int] = {}
+    for index, task in enumerate(tasks):
         args = task.args
         if args.get("op_name") != "sample_token":
             continue
         phase = args.get("phase")
         if phase not in ("prefill", "decode"):
             continue
-        key = (phase, int(args.get("microbatch", 0)))
-        known = sample_ends.get(key)
-        if known is None or end > known:
-            sample_ends[key] = end
-    if anchor is None:
+        indices.append(index)
+        slots.append(keys.setdefault((phase, int(args.get("microbatch", 0))), len(keys)))
+    return _SampleTokens(indices=np.asarray(indices, dtype=np.int64),
+                         slots=np.asarray(slots, dtype=np.int64), keys=tuple(keys))
+
+
+def metrics_from_task_times(tasks: "CompiledGraph | Sequence[Task]",
+                            starts: Iterable[float], durations: Iterable[float],
+                            plan: StreamPlan, *,
+                            deadline_ms: float | None = None) -> ServingMetrics:
+    """Score dense-ordered task timing arrays against a stream plan.
+
+    ``starts``/``durations`` are one (possibly batched) session run's
+    timings in dense task order, and ``tasks`` is the run's
+    :class:`~repro.core.engine.CompiledGraph` or its task list.  Given the
+    compiled graph, the ``sample_token`` task indices are found once per
+    graph and reused by every later call.
+    """
+    if isinstance(tasks, CompiledGraph):
+        samples = tasks.cached("serving.sample_tokens",
+                                lambda compiled: _sample_tokens(compiled.tasks))
+    else:
+        samples = _sample_tokens(tasks)
+    starts = np.asarray(starts, dtype=np.float64)
+    if len(starts) == 0:
         raise ValueError("serving metrics need a non-empty simulation")
+    anchor = float(starts.min())
+    ends = starts[samples.indices] + np.asarray(durations, dtype=np.float64)[samples.indices]
+    latest = np.full(len(samples.keys), -np.inf)
+    np.maximum.at(latest, samples.slots, ends)
+    sample_ends = dict(zip(samples.keys, latest.tolist()))
 
     requests = []
     for schedule in plan.requests:
@@ -231,19 +267,13 @@ def _metrics_from_events(events: Iterator[tuple[Task, float, float]],
 
 def compute_serving_metrics(simulation, plan: StreamPlan, *,
                             deadline_ms: float | None = None) -> ServingMetrics:
-    """Score a :class:`SimulationResult` against a stream plan."""
-    events = ((t.task, t.start, t.end) for t in simulation.tasks.values())
-    return _metrics_from_events(events, plan, deadline_ms)
-
-
-def metrics_from_task_times(tasks: Sequence[Task], starts: Iterable[float],
-                            durations: Iterable[float], plan: StreamPlan, *,
-                            deadline_ms: float | None = None) -> ServingMetrics:
-    """Score dense-ordered task timing arrays (the batched what-if path).
-
-    ``tasks`` is ``CompiledGraph.tasks`` and ``starts``/``durations`` one
-    row of a (batched) session run, all in dense task order.
-    """
-    events = ((task, start, start + duration)
-              for task, start, duration in zip(tasks, starts, durations))
-    return _metrics_from_events(events, plan, deadline_ms)
+    """Score a :class:`~repro.core.engine.SessionRun` (or a
+    :class:`~repro.core.simulator.SimulationResult`) against a stream plan."""
+    if isinstance(simulation, SessionRun):
+        return metrics_from_task_times(simulation.compiled, simulation.starts,
+                                       simulation.durations, plan, deadline_ms=deadline_ms)
+    simulated = list(simulation.tasks.values())
+    return metrics_from_task_times([t.task for t in simulated],
+                                   [t.start for t in simulated],
+                                   [t.duration for t in simulated],
+                                   plan, deadline_ms=deadline_ms)

@@ -15,13 +15,17 @@ processor (a CPU thread or a CUDA stream), honouring:
 The output records the simulated start time of every task, from which the
 iteration time, execution breakdown and SM utilisation are derived.
 
-Since the array-backed engine landed (:mod:`repro.core.engine`), this
-module is a thin compatibility wrapper: :class:`Simulator` compiles the
-graph and runs one :class:`~repro.core.engine.SimulationSession`, then
-materialises the dict-based :class:`SimulationResult` the rest of the
-code base consumes.  Schedules are bit-identical to the original
-dict/heap scheduler.  Hot paths that simulate one graph many times
-should compile once and reuse a session instead.
+Simulation itself runs in the array-backed engine
+(:mod:`repro.core.engine`), whose :class:`~repro.core.engine.SessionRun`
+arrays are what predictions, breakdowns and serving metrics read.  This
+module holds the object views built from a run on demand: the dict-based
+:class:`SimulationResult` (critical-path analysis) and its Kineto-style
+rendering, :meth:`SimulationResult.to_trace_bundle` (timeline export, SM
+utilisation).  :class:`Simulator` is a compatibility wrapper that
+compiles a graph, runs one session and materialises the result;
+schedules are bit-identical to the original dict/heap scheduler.  Hot
+paths that simulate one graph many times should compile once and reuse
+a session instead.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ from repro.core.graph import ExecutionGraph
 from repro.core.tasks import Task, TaskKind
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import DistributedInfo, KinetoTrace, TraceBundle
+
+
+def event_category(task: Task) -> str:
+    """The trace-event category a simulated task is rendered with."""
+    if task.category:
+        return task.category
+    return Category.KERNEL if task.kind == TaskKind.GPU else Category.CPU_OP
 
 
 @dataclass
@@ -86,15 +97,10 @@ class SimulationResult:
         per_rank: dict[int, list[TraceEvent]] = defaultdict(list)
         for simulated in self.tasks.values():
             task = simulated.task
-            if task.kind == TaskKind.GPU:
-                category = task.category or Category.KERNEL
-                tid = int(task.stream)
-            else:
-                category = task.category or Category.CPU_OP
-                tid = int(task.thread)
+            tid = int(task.stream) if task.kind == TaskKind.GPU else int(task.thread)
             per_rank[task.rank].append(TraceEvent(
-                name=task.name, cat=category, ts=simulated.start, dur=simulated.duration,
-                pid=task.rank, tid=tid, args=dict(task.args),
+                name=task.name, cat=event_category(task), ts=simulated.start,
+                dur=simulated.duration, pid=task.rank, tid=tid, args=dict(task.args),
             ))
         bundle = TraceBundle(metadata={"simulated": True})
         for rank, events in per_rank.items():

@@ -206,11 +206,11 @@ def _evaluate_group(study: Study, kind: str, target: str,
         serving_rows: dict[int, dict[str, Any]] = {}
         collect = None
         if plan is not None:
-            tasks = session.compiled.tasks
+            compiled = session.compiled
 
             def collect(row: int, starts, durations) -> None:
                 serving_rows[whatif_rows[row]] = metrics_from_task_times(
-                    tasks, starts, durations, plan,
+                    compiled, starts, durations, plan,
                     deadline_ms=slo_ms).to_json()
 
         evaluated = dict(zip(whatif_rows, evaluate_scenarios(graph, batch,
@@ -220,7 +220,7 @@ def _evaluate_group(study: Study, kind: str, target: str,
         config_serving: dict[str, Any] | None = None
         if plan is not None:
             config_serving = metrics_from_task_times(
-                session.compiled.tasks, config_run.starts,
+                session.compiled, config_run.starts,
                 config_run.durations, plan, deadline_ms=slo_ms).to_json()
     results: list[dict[str, Any]] = []
     for index, scenario in enumerate(scenarios):

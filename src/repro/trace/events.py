@@ -167,9 +167,12 @@ def is_sync_runtime(event: TraceEvent) -> bool:
 
 def is_collective_kernel(event: TraceEvent) -> bool:
     """True for communication kernels (NCCL-style names or tagged args)."""
-    if not is_kernel_event(event):
-        return False
-    if event.args.get("collective"):
+    return is_kernel_event(event) and is_collective_signature(event.name, event.args)
+
+
+def is_collective_signature(name: str, args: Mapping[str, Any]) -> bool:
+    """Whether a kernel's name or args mark it as communication."""
+    if args.get("collective"):
         return True
-    name = event.name.lower()
+    name = name.lower()
     return name.startswith("nccl") or "allreduce" in name or "all_reduce" in name

@@ -856,6 +856,22 @@ def _journal_events(store: JobStore, event: str, job_id: str) -> list[dict]:
             if line["event"] == event and line["job_id"] == job_id]
 
 
+def _await_journal_events(store: JobStore, event: str, job_id: str,
+                          timeout: float = 10.0) -> list[dict]:
+    """Poll the journal until ``event`` shows up for ``job_id`` (or time runs out).
+
+    Webhook delivery threads journal ``webhook_delivered`` only *after* the
+    receiver's response returns, so a test that saw the POST arrive must
+    wait for the journal write.
+    """
+    deadline = time.time() + timeout
+    events = _journal_events(store, event, job_id)
+    while not events and time.time() < deadline:
+        time.sleep(0.02)
+        events = _journal_events(store, event, job_id)
+    return events
+
+
 @pytest.fixture
 def webhook_receiver():
     """A local HTTP sink recording every JSON body POSTed to it."""
@@ -1126,12 +1142,7 @@ class TestWorkerFleetRecovery:
             assert delivered["job_id"] == job_id
             assert delivered["state"] == STATE_FAILED
             assert delivered["error"]["code"] == CODE_WORKER_LOST
-            # The delivery thread journals *after* the POST returns.
-            deadline = time.time() + 10.0
-            events = []
-            while time.time() < deadline and not events:
-                events = _journal_events(app.store, "webhook_delivered", job_id)
-                time.sleep(0.02)
+            events = _await_journal_events(app.store, "webhook_delivered", job_id)
             assert events and events[0]["url"] == url
 
     def test_cli_work_wires_the_fleet(self, tmp_path, serving_trace_dir,
@@ -1196,7 +1207,7 @@ class TestEventDrivenCompletion:
         delivered = received[0]["job"]
         assert delivered["job_id"] == job_id
         assert delivered["state"] == STATE_DONE
-        events = _journal_events(manual_app.store, "webhook_delivered", job_id)
+        events = _await_journal_events(manual_app.store, "webhook_delivered", job_id)
         assert events and events[0]["url"] == url
 
     def test_webhook_fires_on_cancel(self, manual_app, webhook_receiver):
