@@ -371,6 +371,7 @@ class Study:
         self._base_graph: ExecutionGraph | None = None
         self._base_time: float | None = None
         self._perf_model: KernelPerfModel | None = None
+        self._trace_digest: str | None = None
         #: Non-registry architecture targets by name (predict(model=<config>)).
         #: Part of the picklable snapshot so pool workers can derive them.
         self._custom_models: dict[str, ModelConfig] = {}
@@ -463,6 +464,20 @@ class Study:
             raise StudyError("this study has no trace bundle "
                              "(it was pickled for a worker process)")
         return self._bundle
+
+    @property
+    def trace_digest(self) -> str:
+        """Content hash of :attr:`trace`, computed once per study.
+
+        The sweep result cache is keyed by it
+        (:func:`~repro.sweep.hashing.hash_trace_bundle`); hashing walks the
+        whole bundle, so repeated sweeps of one study share the walk.
+        """
+        if self._trace_digest is None:
+            from repro.sweep.hashing import hash_trace_bundle
+
+            self._trace_digest = hash_trace_bundle(self.trace)
+        return self._trace_digest
 
     @property
     def emulation(self) -> "EmulationResult":

@@ -165,7 +165,11 @@ class _RankLayout:
 
 
 def _rank_layouts(compiled: CompiledGraph) -> tuple[_RankLayout, ...]:
-    """Per rank, ascending (the order a trace bundle iterates its ranks)."""
+    """Per rank, ascending (the order a trace bundle iterates its ranks).
+
+    Topology-only: reads each task's rank, category, kind, name and
+    ``collective`` arg, which re-timing never changes.
+    """
     tasks = compiled.tasks
     if not tasks:
         return ()

@@ -81,26 +81,30 @@ class CompiledGraph:
     group_id: np.ndarray
     #: Group members (dense indices, ascending) per group slot.
     group_members: tuple[tuple[int, ...], ...]
-    #: Analysis structures built on first use (see :meth:`cached`).
-    _cache: dict[str, Any] = field(default_factory=dict, init=False,
-                                   repr=False, compare=False)
+    #: Analysis structures built on first use, shared by every graph
+    #: compiled from the same topology (see :meth:`cached`).
+    topology_cache: dict[str, Any] = field(default_factory=dict, repr=False,
+                                           compare=False)
 
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
 
     def cached(self, key: str, build: Callable[["CompiledGraph"], Any]) -> Any:
-        """``build(self)``, memoized under ``key`` on this compiled graph.
+        """``build(self)``, memoized under ``key`` on this graph's topology.
 
         Result analyses (breakdown masks, serving sample indices) index
         the dense task order; they are built on the first request rather
         than in :func:`compile_graph`, so callers that never read them pay
-        nothing.
+        nothing.  Every graph compiled from the same topology — a graph
+        and its re-timing clones — shares the value, so ``build`` must
+        read nothing a clone may change (see
+        :meth:`~repro.core.graph.ExecutionGraph.clone`): no durations.
         """
         try:
-            return self._cache[key]
+            return self.topology_cache[key]
         except KeyError:
-            value = self._cache[key] = build(self)
+            value = self.topology_cache[key] = build(self)
             return value
 
     def __len__(self) -> int:
@@ -134,23 +138,37 @@ class CompiledGraph:
 def compile_graph(graph: ExecutionGraph) -> CompiledGraph:
     """Precompute the immutable scheduling structure of ``graph``.
 
+    The topology (everything but the tasks and the durations) is built
+    once per edge set: a graph sharing its edges with an already-compiled
+    graph — a re-timing clone (:meth:`ExecutionGraph.clone`), or the
+    parent of one — reuses that compile's arrays.  Adding a task or a
+    dependency detaches a graph from the shared topology, so its next
+    compile is a full one.
+
     Raises ``RuntimeError`` when the fixed dependencies contain a cycle
     (the seed scheduler reported this at run time; compiling surfaces it
     up front via the topological sort).
     """
-    with observability.trace_span("engine.compile_graph", tasks=len(graph.tasks)):
-        return _compile_graph(graph)
+    with observability.trace_span("engine.compile_graph",
+                                  tasks=len(graph.tasks)) as span:
+        cell = graph.topology_cell()
+        topology = cell.value
+        if topology is None:
+            index_of = {task_id: index for index, task_id in enumerate(sorted(graph.tasks))}
+            tasks = tuple(graph.tasks[task_id] for task_id in index_of)
+            topology = cell.value = _build_topology(graph, tasks, index_of)
+        else:
+            tasks = tuple(graph.tasks[task_id] for task_id in topology["index_of"])
+            span.set(reused=True)
+        durations = np.fromiter((task.duration for task in tasks),
+                                dtype=np.float64, count=len(tasks))
+        return CompiledGraph(graph=graph, tasks=tasks, durations=durations, **topology)
 
 
-def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
-    task_ids = sorted(graph.tasks)
-    tasks = tuple(graph.tasks[task_id] for task_id in task_ids)
-    index_of = {task_id: index for index, task_id in enumerate(task_ids)}
+def _build_topology(graph: ExecutionGraph, tasks: tuple[Task, ...],
+                    index_of: dict[int, int]) -> dict[str, Any]:
+    """The duration-independent :class:`CompiledGraph` fields of ``graph``."""
     n = len(tasks)
-
-    durations = np.fromiter((task.duration for task in tasks),
-                            dtype=np.float64, count=n)
-
     indegree = np.zeros(n, dtype=np.int32)
     succ_counts = np.zeros(n, dtype=np.int64)
     for dependency in graph.dependencies:
@@ -210,11 +228,8 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
             f"{len(on_cycle)} tasks (first: {names})"
         )
 
-    return CompiledGraph(
-        graph=graph,
-        tasks=tasks,
+    return dict(
         index_of=index_of,
-        durations=durations,
         indegree=indegree,
         succ_indptr=succ_indptr,
         succ_indices=succ_indices,
@@ -227,6 +242,7 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
         sync_slots=tuple(sync_slots),
         group_id=group_id,
         group_members=group_members,
+        topology_cache={},
     )
 
 

@@ -18,6 +18,22 @@ class Dependency:
     dep_type: DependencyType
 
 
+class TopologyCell:
+    """Holder of the compiled topology a graph shares with its clones.
+
+    :meth:`ExecutionGraph.clone` hands the same cell to the parent and the
+    clone; :func:`repro.core.engine.compile_graph` stores the topology it
+    builds in :attr:`value` and reuses it for every graph holding the
+    cell.  The value references no graph, so the link makes no reference
+    cycle, and graphs drop the cell when pickled or structurally changed.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: Any = None
+
+
 @dataclass
 class ExecutionGraph:
     """Tasks plus typed dependencies for one (or several) ranks.
@@ -35,6 +51,10 @@ class ExecutionGraph:
     _predecessors: dict[int, list[int]] = field(
         default_factory=lambda: defaultdict(list), repr=False)
     _next_id: int = 0
+    #: Whether the edge list and adjacency maps are shared with a clone
+    #: (copy-on-write: the first :meth:`add_dependency` copies them).
+    _edges_shared: bool = field(default=False, repr=False, compare=False)
+    _topology: TopologyCell | None = field(default=None, repr=False, compare=False)
 
     # -- construction -----------------------------------------------------------
 
@@ -44,6 +64,7 @@ class ExecutionGraph:
             task.task_id = self._next_id
         self.tasks[task.task_id] = task
         self._next_id = max(self._next_id, task.task_id + 1)
+        self._topology = None
         return task
 
     def add_dependency(self, src: int, dst: int, dep_type: DependencyType) -> None:
@@ -52,33 +73,60 @@ class ExecutionGraph:
             raise KeyError(f"dependency {src}->{dst} references unknown tasks")
         if src == dst:
             raise ValueError(f"self dependency on task {src}")
+        if self._edges_shared:
+            self.dependencies = list(self.dependencies)
+            self._successors = defaultdict(
+                list, {src: list(dsts) for src, dsts in self._successors.items()})
+            self._predecessors = defaultdict(
+                list, {dst: list(srcs) for dst, srcs in self._predecessors.items()})
+            self._edges_shared = False
+        self._topology = None
         self.dependencies.append(Dependency(src=src, dst=dst, dep_type=dep_type))
         self._successors[src].append(dst)
         self._predecessors[dst].append(src)
 
     def clone(self, *, metadata: dict[str, Any] | None = None,
               tasks: dict[int, Task] | None = None) -> "ExecutionGraph":
-        """Structural copy: every task cloned (ids preserved), topology shared.
+        """Re-timing copy: every task cloned (ids preserved), topology shared.
 
-        :class:`Dependency` objects are immutable so the edge list and the
-        adjacency maps are copied shallowly.  For manipulations that change
-        only task attributes (e.g. a hardware retarget rescaling durations)
-        this is much cheaper than re-adding every task and edge.  ``tasks``
-        substitutes a pre-built task map with the same ids — a caller doing
-        copy-on-write can share the unchanged task objects outright instead
-        of paying a copy per task.
+        The clone shares the edge list and the adjacency maps with this
+        graph copy-on-write: whichever graph first calls
+        :meth:`add_dependency` copies them for itself, so neither sees the
+        other's new edges.  It also shares the :class:`TopologyCell`, so
+        the two graphs compile once between them.  ``tasks`` substitutes
+        a pre-built task map with the same ids — a caller doing
+        copy-on-write can share the unchanged task objects outright
+        instead of paying a copy per task.
+
+        The substituted tasks may differ only in ``duration`` and in args
+        other than ``collective``, ``op_name``, ``phase`` and
+        ``microbatch``: the compiled topology (processors, streams,
+        synchronisation, collective groups) and the topology-only
+        analysis caches are reused as they are.  A manipulation that
+        changes anything else builds a new graph.
         """
         clone = ExecutionGraph(
             metadata=dict(self.metadata if metadata is None else metadata))
         clone.tasks = (dict(tasks) if tasks is not None else
                        {task_id: task.copy() for task_id, task in self.tasks.items()})
-        clone.dependencies = list(self.dependencies)
-        clone._successors = defaultdict(
-            list, {src: list(dsts) for src, dsts in self._successors.items()})
-        clone._predecessors = defaultdict(
-            list, {dst: list(srcs) for dst, srcs in self._predecessors.items()})
+        clone.dependencies = self.dependencies
+        clone._successors = self._successors
+        clone._predecessors = self._predecessors
         clone._next_id = self._next_id
+        clone._edges_shared = self._edges_shared = True
+        clone._topology = self.topology_cell()
         return clone
+
+    def topology_cell(self) -> TopologyCell:
+        """The (created on demand) topology cell this graph shares with its clones."""
+        if self._topology is None:
+            self._topology = TopologyCell()
+        return self._topology
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_topology"] = None
+        return state
 
     # -- queries ----------------------------------------------------------------
 

@@ -351,9 +351,10 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
     unclassified_names: dict[str, float] = {}
     factor_memo: dict[tuple, tuple[str, str, float, float] | None] = {}
     # The retarget changes only durations, so the new graph shares the base
-    # graph's topology and tasks, copying a task only when its duration
-    # actually moves (copy-on-write): for a same-die target like H100→H200
-    # every compute-bound kernel rescales by exactly 1.0 and is shared.
+    # graph's edges, compiled topology and tasks, copying a task only when
+    # its duration actually moves (copy-on-write): for a same-die target
+    # like H100→H200 every compute-bound kernel rescales by exactly 1.0 and
+    # is shared.
     new_tasks: dict[int, Task] = {}
     for task_id, task in graph.tasks.items():
         if task.kind == TaskKind.GPU and task.duration > 0:
@@ -396,13 +397,13 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
     for category, factor in factors.items():
         observability.gauge(f"hardware.rescale.{category}", factor)
 
-    new_graph = graph.clone(tasks=new_tasks)
     previous = graph.metadata.get("manipulated")
-    new_graph.metadata["manipulated"] = \
-        f"{previous}+hardware" if previous else "hardware"
-    new_graph.metadata["gpu"] = gpu.name
-    new_graph.metadata["hardware_rescale"] = factors
-    return new_graph
+    return graph.clone(tasks=new_tasks, metadata={
+        **graph.metadata,
+        "manipulated": f"{previous}+hardware" if previous else "hardware",
+        "gpu": gpu.name,
+        "hardware_rescale": factors,
+    })
 
 
 @register_manipulation(KIND_HARDWARE)

@@ -195,6 +195,7 @@ class _SampleTokens:
 
 
 def _sample_tokens(tasks: Sequence[Task]) -> _SampleTokens:
+    """Topology-only: reads the ``op_name``, ``phase`` and ``microbatch`` args."""
     indices: list[int] = []
     slots: list[int] = []
     keys: dict[tuple[str, int], int] = {}
@@ -221,7 +222,7 @@ def metrics_from_task_times(tasks: "CompiledGraph | Sequence[Task]",
     timings in dense task order, and ``tasks`` is the run's
     :class:`~repro.core.engine.CompiledGraph` or its task list.  Given the
     compiled graph, the ``sample_token`` task indices are found once per
-    graph and reused by every later call.
+    topology and reused by every later call.
     """
     if isinstance(tasks, CompiledGraph):
         samples = tasks.cached("serving.sample_tokens",

@@ -300,13 +300,15 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
     observability.count("sweep.scenarios.total", len(scenarios))
 
     # Content hashing walks the full trace bundle, so only pay for it when
-    # there is a cache to key.
+    # there is a cache to key, and only once per study over its own trace.
     bundle_hash = ""
     scenario_hashes: dict[ScenarioSpec, str] = {}
     collected: dict[ScenarioSpec, ScenarioResult] = {}
     if cache is not None:
         with observability.trace_span("sweep.hash", scenarios=len(scenarios)):
-            bundle_hash = hash_trace_bundle(bundle)
+            bundle_hash = (study.trace_digest
+                           if study is not None and study._bundle is bundle
+                           else hash_trace_bundle(bundle))
             scenario_hashes = {scenario: hash_json(scenario_cache_key(spec, scenario))
                                for scenario in scenarios}
         if not force:

@@ -20,6 +20,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.emulator.api import emulate
+from repro.trace.kineto import TraceBundle
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -151,6 +152,34 @@ class TestCacheIntegration:
         cache_two = SweepCache(tmp_path / "cache")
         run_sweep(other, small_spec, cache=cache_two)
         assert cache_two.stats.hits == 0
+
+    def test_study_hashes_its_trace_once(self, base_bundle, small_spec, tmp_path,
+                                         monkeypatch):
+        from repro.api import Study
+        from repro.sweep import hashing, runner
+
+        expected = hashing.hash_trace_bundle(base_bundle)
+        calls = []
+
+        def counting(bundle):
+            calls.append(bundle)
+            return expected
+
+        monkeypatch.setattr(hashing, "hash_trace_bundle", counting)
+        monkeypatch.setattr(runner, "hash_trace_bundle", counting)
+        study = Study.from_trace(base_bundle, model="gpt3-15b",
+                                 parallelism=BASE_PARALLELISM,
+                                 micro_batch_size=1, num_microbatches=2)
+        cold = study.sweep(small_spec, cache_dir=tmp_path / "cache")
+        warm = study.sweep(small_spec, cache_dir=tmp_path / "cache")
+        assert [bundle is base_bundle for bundle in calls] == [True]
+        assert study.trace_digest == expected
+        assert all(r.from_cache for r in warm.results)
+        assert _ranked_view(warm) == _ranked_view(cold)
+        # A bundle other than the study's own is hashed afresh.
+        copy = TraceBundle(dict(base_bundle.traces), dict(base_bundle.metadata))
+        run_sweep(copy, small_spec, cache=SweepCache(tmp_path / "cache"), study=study)
+        assert [bundle is copy for bundle in calls] == [False, True]
 
 
 class TestSweepApi:
