@@ -39,6 +39,7 @@ from repro.core.manipulation import (
     KIND_PARALLELISM,
     KIND_SERVING,
     DeriveContext,
+    TemplateMemo,
 )
 from repro.core.manipulation import derive as _dispatch_derive
 from repro.core.perf_model import KernelPerfModel
@@ -106,7 +107,8 @@ def derive_graph(graph: ExecutionGraph, kind: str, target: str, *,
                  target_model: ModelConfig | None = None,
                  target_gpu: "GPUSpec | None" = None,
                  base_inference: InferenceConfig | None = None,
-                 world_size: int | None = None) -> tuple[ExecutionGraph, int]:
+                 world_size: int | None = None,
+                 templates: TemplateMemo | None = None) -> tuple[ExecutionGraph, int]:
     """Derive the execution graph for one ``(kind, target)`` configuration.
 
     This is the single manipulation-dispatch point of the library: the
@@ -129,12 +131,15 @@ def derive_graph(graph: ExecutionGraph, kind: str, target: str, *,
     training-iteration manipulations refuse to run against it.
     ``world_size`` seeds the chain when ``graph`` is an already-derived
     prefix rather than the base replay (see :meth:`Study.derived_graph`'s
-    composite-prefix reuse).
+    composite-prefix reuse).  ``templates`` memoizes the base graph's
+    iteration template across calls (see
+    :meth:`~repro.core.manipulation.DeriveContext.iteration_template`).
     """
     context = DeriveContext(
         base_model=base_model, base_parallel=base_parallel, training=training,
         perf_model=perf_model, cluster=cluster, target_model=target_model,
-        target_gpu=target_gpu, base_inference=base_inference)
+        target_gpu=target_gpu, base_inference=base_inference,
+        templates=templates)
     try:
         return _dispatch_derive(graph, kind, target, context,
                                 world_size=world_size)
@@ -371,6 +376,10 @@ class Study:
         self._base_graph: ExecutionGraph | None = None
         self._base_time: float | None = None
         self._perf_model: KernelPerfModel | None = None
+        #: The base graph's iteration template (pipeline and architecture
+        #: derives synthesize from it), extracted on first use; like the
+        #: calibration it survives :meth:`release`.
+        self._templates: TemplateMemo | None = None
         self._trace_digest: str | None = None
         #: Non-registry architecture targets by name (predict(model=<config>)).
         #: Part of the picklable snapshot so pool workers can derive them.
@@ -749,9 +758,14 @@ class Study:
                 training=self.training, perf_model=self.perf_model,
                 cluster=self.cluster, target_model=target_model,
                 target_gpu=target_gpu, base_inference=self.inference,
-                world_size=base_world)
+                world_size=base_world, templates=self._template_memo())
             span.set(tasks=len(derived[0]))
         return derived
+
+    def _template_memo(self) -> TemplateMemo:
+        if self._templates is None:
+            self._templates = TemplateMemo(self.base_graph)
+        return self._templates
 
     def derived_graph(self, kind: str, target: str) -> tuple[ExecutionGraph, int]:
         """The (memoized) derived graph and world size for one configuration."""
@@ -817,8 +831,9 @@ class Study:
     def release(self) -> None:
         """Drop the memoized per-target graphs, sessions and predictions.
 
-        The base replay and calibrated perf model stay; use this to bound
-        memory on long-lived studies that have visited many targets.
+        The base replay, calibrated perf model and iteration template
+        stay; use this to bound memory on long-lived studies that have
+        visited many targets.
         """
         self._graphs.clear()
         self._sessions.clear()
@@ -997,6 +1012,7 @@ class Study:
         state["_graphs"] = {}
         state["_sessions"] = {}
         state["_predictions"] = {}
+        state["_templates"] = None
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:

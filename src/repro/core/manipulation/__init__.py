@@ -43,6 +43,7 @@ from repro.core.manipulation.templates import (
     CpuOverheads,
     IterationTemplate,
     KernelTemplate,
+    TemplateMemo,
     extract_iteration_template,
 )
 from repro.core.manipulation.synthesize import GraphSynthesizer, synthesize_graph
@@ -67,6 +68,7 @@ __all__ = [
     "KernelTemplate",
     "CpuOverheads",
     "IterationTemplate",
+    "TemplateMemo",
     "extract_iteration_template",
     "GraphSynthesizer",
     "synthesize_graph",

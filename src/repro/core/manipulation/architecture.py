@@ -23,7 +23,7 @@ from repro.core.manipulation.dispatch import (
     register_manipulation,
 )
 from repro.core.manipulation.synthesize import GraphSynthesizer
-from repro.core.manipulation.templates import extract_iteration_template
+from repro.core.manipulation.templates import IterationTemplate, extract_iteration_template
 from repro.core.perf_model import KernelPerfModel
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.model_config import ModelConfig, gpt3_model
@@ -34,16 +34,20 @@ from repro.workload.training import TrainingConfig
 def change_architecture(graph: ExecutionGraph, base_model: ModelConfig,
                         base_parallel: ParallelismConfig, training: TrainingConfig,
                         target_model: ModelConfig, perf_model: KernelPerfModel,
-                        cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                        cluster: ClusterSpec | None = None,
+                        template: IterationTemplate | None = None) -> ExecutionGraph:
     """Derive the execution graph for a modified model architecture.
 
     The deployment configuration (TP×PP×DP) is kept; only the model changes,
     matching the paper's §4.3.2 evaluation where all variants train under
-    the base parallelism configuration.
+    the base parallelism configuration.  ``template`` is ``graph``'s
+    iteration template when the caller already extracted it
+    (:func:`extract_iteration_template`).
     """
     if cluster is None:
         cluster = ClusterSpec.for_world_size(base_parallel.world_size)
-    template = extract_iteration_template(graph, base_model, base_parallel, training)
+    if template is None:
+        template = extract_iteration_template(graph, base_model, base_parallel, training)
     synthesizer = GraphSynthesizer(template, target_model, base_parallel, perf_model,
                                    training=training, cluster=cluster)
     return synthesizer.build()
@@ -63,5 +67,6 @@ def _derive_architecture(graph: ExecutionGraph, label: str,
     derived = change_architecture(graph, context.base_model,
                                   context.base_parallel, context.training,
                                   target_model, context.perf_model,
-                                  cluster=context.cluster)
+                                  cluster=context.cluster,
+                                  template=context.iteration_template(graph))
     return derived, context.base_parallel.world_size

@@ -3,16 +3,23 @@
 Per §3.4 of the paper, changing the data-parallel degree leaves every
 worker's local computation unchanged: "only the communication needs
 adjustment by assigning new execution time to the communication tasks".
-This module therefore copies the execution graph and re-times every
-data-parallel collective for the new group size and placement (which is
-what makes scaling beyond one node more expensive per byte).
+The graph models one representative rank per pipeline stage, so a DP
+change adds no tasks and no edges either: it re-times every data-parallel
+collective for the new group size and placement (which is what makes
+scaling beyond one node more expensive per byte).
+
+The derive is therefore copy-on-write, like the serving and hardware
+re-timings: the derived graph keeps the base's task ids and shares its
+edges and compiled topology (:meth:`~repro.core.graph.ExecutionGraph.clone`);
+only the data-parallel collectives are copied, so compiling it builds
+just the duration vector.
 """
 
 from __future__ import annotations
 
 from repro.core.graph import ExecutionGraph
 from repro.core.perf_model import KernelPerfModel
-from repro.core.tasks import TaskKind
+from repro.core.tasks import Task, TaskKind
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.parallelism import ParallelismConfig
 
@@ -44,19 +51,14 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
         cluster = ClusterSpec.for_world_size(target_parallel.world_size)
     target_groups = target_parallel.groups()
     base_groups = base_parallel.groups()
+    scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
+                                   calibration=dict(perf_model.calibration))
 
-    new_graph = ExecutionGraph(metadata={
-        **graph.metadata,
-        "manipulated": "data_parallel",
-        "parallelism": target_parallel.label(),
-    })
-    id_map: dict[int, int] = {}
-    for task in graph.task_list():
-        clone = task.copy()
-        clone.task_id = -1
-        if (clone.kind == TaskKind.GPU and clone.args.get("group") == "dp"
-                and clone.args.get("collective")):
-            old_ranks = tuple(clone.args.get("group_ranks", ()))
+    new_tasks: dict[int, Task] = {}
+    for task_id, task in graph.tasks.items():
+        if (task.kind == TaskKind.GPU and task.args.get("group") == "dp"
+                and task.args.get("collective")):
+            old_ranks = tuple(task.args.get("group_ranks", ()))
             if not old_ranks:
                 old_ranks = base_groups.dp_group(task.rank).ranks
             # The representative rank keeps its pipeline-stage coordinates;
@@ -64,21 +66,21 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
             stage = min(base_groups.pp_index(task.rank), target_parallel.pp - 1)
             new_rank = target_groups.rank_of(0, 0, stage)
             new_ranks = target_groups.dp_group(new_rank).ranks
-            size_bytes = float(clone.args.get("size_bytes", 0.0))
-            scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
-                                           calibration=dict(perf_model.calibration))
+            size_bytes = float(task.args.get("size_bytes", 0.0))
+            task = task.copy()
             if new_data_parallel == 1:
-                clone.duration = 0.0
+                task.duration = 0.0
             else:
-                clone.duration = scaled_model.scale_collective(
-                    task.duration, kind=str(clone.args["collective"]),
+                task.duration = scaled_model.scale_collective(
+                    task.duration, kind=str(task.args["collective"]),
                     old_size=size_bytes, old_ranks=old_ranks,
                     new_size=size_bytes, new_ranks=new_ranks)
-            clone.args["group_ranks"] = list(new_ranks)
-            clone.args["group_size"] = len(new_ranks)
-        id_map[task.task_id] = new_graph.add_task(clone).task_id
+            task.args["group_ranks"] = list(new_ranks)
+            task.args["group_size"] = len(new_ranks)
+        new_tasks[task_id] = task
 
-    for dependency in graph.dependencies:
-        new_graph.add_dependency(id_map[dependency.src], id_map[dependency.dst],
-                                 dependency.dep_type)
-    return new_graph
+    return graph.clone(tasks=new_tasks, metadata={
+        **graph.metadata,
+        "manipulated": "data_parallel",
+        "parallelism": target_parallel.label(),
+    })

@@ -28,6 +28,11 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.data_parallel import scale_data_parallelism
 from repro.core.manipulation.pipeline_parallel import scale_pipeline_parallelism
+from repro.core.manipulation.templates import (
+    IterationTemplate,
+    TemplateMemo,
+    extract_iteration_template,
+)
 from repro.core.perf_model import KernelPerfModel
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.parallelism import ParallelismConfig
@@ -88,6 +93,24 @@ class DeriveContext:
     target_model: "ModelConfig | None" = None
     target_gpu: "GPUSpec | None" = None
     base_inference: "InferenceConfig | None" = None
+    #: Memo of the base graph's iteration template, kept by the caller
+    #: across derives (see :meth:`iteration_template`).
+    templates: TemplateMemo | None = None
+
+    def iteration_template(self, graph: ExecutionGraph) -> IterationTemplate:
+        """The iteration template of ``graph`` under the base configuration.
+
+        Memoized in :attr:`templates` when ``graph`` is the memo's graph
+        (the base replay); any other graph — the prefix of an unusual
+        composite chain — is extracted afresh.
+        """
+        memo = self.templates
+        if memo is None or memo.graph is not graph:
+            memo = TemplateMemo(graph)
+        if memo.template is None:
+            memo.template = extract_iteration_template(
+                graph, self.base_model, self.base_parallel, self.training)
+        return memo.template
 
 
 #: A handler derives one segment: (graph, label, context, world_size) ->
@@ -187,5 +210,6 @@ def _derive_parallelism(graph: ExecutionGraph, label: str, context: DeriveContex
                                              base_parallel, context.training,
                                              parallel.pp, context.perf_model,
                                              new_data_parallel=parallel.dp,
-                                             cluster=derived_cluster)
+                                             cluster=derived_cluster,
+                                             template=context.iteration_template(graph))
     return derived, parallel.world_size

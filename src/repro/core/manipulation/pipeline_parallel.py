@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.synthesize import GraphSynthesizer
-from repro.core.manipulation.templates import extract_iteration_template
+from repro.core.manipulation.templates import IterationTemplate, extract_iteration_template
 from repro.core.perf_model import KernelPerfModel
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.model_config import ModelConfig
@@ -25,11 +25,14 @@ def scale_pipeline_parallelism(graph: ExecutionGraph, base_model: ModelConfig,
                                base_parallel: ParallelismConfig, training: TrainingConfig,
                                new_pipeline_parallel: int, perf_model: KernelPerfModel,
                                new_data_parallel: int | None = None,
-                               cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                               cluster: ClusterSpec | None = None,
+                               template: IterationTemplate | None = None) -> ExecutionGraph:
     """Derive the execution graph for a new pipeline-parallel degree.
 
     ``new_data_parallel`` may be given to change both degrees at once (the
     paper's Figure 7c scenario); tensor parallelism is never changed.
+    ``template`` is ``graph``'s iteration template when the caller already
+    extracted it (:func:`extract_iteration_template`).
     """
     if new_pipeline_parallel < 1:
         raise ValueError("pipeline parallel degree must be >= 1")
@@ -39,7 +42,8 @@ def scale_pipeline_parallelism(graph: ExecutionGraph, base_model: ModelConfig,
     )
     if cluster is None:
         cluster = ClusterSpec.for_world_size(target_parallel.world_size)
-    template = extract_iteration_template(graph, base_model, base_parallel, training)
+    if template is None:
+        template = extract_iteration_template(graph, base_model, base_parallel, training)
     retargeted = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
                                  calibration=dict(perf_model.calibration))
     synthesizer = GraphSynthesizer(template, base_model, target_parallel, retargeted,

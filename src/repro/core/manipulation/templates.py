@@ -210,6 +210,24 @@ def extract_iteration_template(graph: ExecutionGraph, base_model: ModelConfig,
     return template
 
 
+class TemplateMemo:
+    """The iteration template of one base graph, extracted on first use.
+
+    Extraction reads only the graph and the base model, parallelism and
+    training configuration, and graph synthesis never mutates the
+    template, so one memo serves every pipeline and architecture derive
+    over ``graph`` under that configuration
+    (:meth:`~repro.core.manipulation.dispatch.DeriveContext.iteration_template`).
+    A :class:`~repro.api.study.Study` keeps one next to its calibration.
+    """
+
+    __slots__ = ("graph", "template")
+
+    def __init__(self, graph: ExecutionGraph) -> None:
+        self.graph = graph
+        self.template: IterationTemplate | None = None
+
+
 def _extract_cpu_overheads(graph: ExecutionGraph) -> CpuOverheads:
     launch_durations: list[float] = []
     python_durations: list[float] = []

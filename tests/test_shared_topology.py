@@ -1,7 +1,7 @@
 """Re-timed graphs share their parent's edges and compiled topology.
 
-Serving and hardware derives only re-time tasks, so they return
-copy-on-write clones of the graph they start from
+Serving, hardware and data-parallel derives only re-time tasks, so they
+return copy-on-write clones of the graph they start from
 (:meth:`ExecutionGraph.clone`) and :func:`compile_graph` reuses the
 topology arrays of whichever graph of the family compiled first.  These
 tests pin that the reuse is exact — every array equals a fresh full
@@ -30,9 +30,9 @@ _ARRAYS = ("durations", "indegree", "succ_indptr", "succ_indices", "topological"
            "proc_index", "stream_slot", "stream_total", "group_id")
 _VALUES = ("index_of", "n_procs", "n_streams", "sync_slots", "group_members")
 
-#: Every golden serving, stream, hardware and composite target, per case.
+#: Every golden serving, stream, hardware, DP and composite target, per case.
 _RETIMING_TARGETS = {
-    "study_tiny_2x2x2": ("gpu=H200-SXM", "parallelism=2x2x4,gpu=H200-SXM"),
+    "study_tiny_2x2x2": ("gpu=H200-SXM", "2x2x4", "parallelism=2x2x4,gpu=H200-SXM"),
     "study_tiny_serving_2x1x1": ("gpu=H200-SXM", "batch=16,gpu=H200-SXM",
                                  "batch=16", "prompt=1024", "tp=1"),
     "study_tiny_stream_2x1x1": ("serving:prompt=1024",),
@@ -83,8 +83,6 @@ class TestGoldenTargets:
         study, targets = golden_study
         base = study.replay().compiled
         for target in targets:
-            if "parallelism=" in target:
-                continue  # the DP derive builds new edges
             compiled = study.predict(target).result.base_run.compiled
             assert compiled.succ_indices is base.succ_indices, target
             assert compiled.topological is base.topological, target
@@ -110,7 +108,8 @@ class TestFullBuildCount:
         study.predict("gpu=H200-SXM")
         study.predict("serving:tp=4")
         assert builds == []
-        # A structural derive still builds its own topology.
+        # A DP change is a re-timing too; a structural (PP) derive still
+        # builds its own topology, exactly once.
         training = _CASES["study_tiny_2x2x2"]
         trained = Study.from_emulation(training["model"], training["parallelism"],
                                        training["training"], iterations=1,
@@ -118,7 +117,10 @@ class TestFullBuildCount:
         trained.replay()
         builds.clear()
         trained.predict("2x2x4")
-        assert builds == [len(trained.predict("2x2x4").graph)]
+        trained.predict("parallelism=2x2x4,gpu=H200-SXM")
+        assert builds == []
+        trained.predict("2x1x2")
+        assert builds == [len(trained.predict("2x1x2").graph)]
 
 
 def _chain_graph() -> ExecutionGraph:

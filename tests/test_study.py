@@ -148,6 +148,43 @@ class TestMemoization:
         assert study.predict("2x1x4").iteration_time_us > 0
         assert study.calibrations == 1
 
+    def test_iteration_template_is_extracted_once(self, study, monkeypatch):
+        # PP and architecture derives synthesize from the base graph's
+        # template; the study keeps it, like the calibration, across
+        # derives and releases, and synthesis never writes to it.
+        from repro.core.manipulation import dispatch
+
+        calls = []
+        original = dispatch.extract_iteration_template
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dispatch, "extract_iteration_template", counting)
+        first = study.predict("2x2x2")
+        template = pickle.dumps(study._templates.template)
+        study.predict("model:gpt3-v1")
+        study.release()
+        again = study.predict("2x2x2")
+        assert len(calls) == 1
+        assert pickle.dumps(study._templates.template) == template
+        assert again.iteration_time_us == first.iteration_time_us
+        assert again.breakdown() == first.breakdown()
+
+    def test_template_memo_serves_only_the_base_graph(self, bundle, study):
+        # A chain that synthesizes from a derived prefix extracts that
+        # graph's own template, and never leaves it in the memo.
+        chain = ("hardware+parallelism", "gpu=H200-SXM+2x2x2")
+        base_first = study.predict("2x2x2").iteration_time_us
+        chained_after = study.derived_graph(*chain)[0]
+        other = Study.from_trace(bundle, model="gpt3-15b",
+                                 parallelism=BASE_PARALLELISM, training=TRAINING)
+        chained_first = other.derived_graph(*chain)[0]
+        assert other.predict("2x2x2").iteration_time_us == base_first
+        assert replay(graph=chained_after).iteration_time_us == \
+            replay(graph=chained_first).iteration_time_us != base_first
+
     def test_baseline_session_reuses_replay_run(self, study):
         # The base replay already simulated the base durations; the
         # baseline config session must not re-run Algorithm 1.
@@ -338,6 +375,13 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(study.prepare()))
         session, run = clone.config_session(KIND_BASELINE, BASE_PARALLELISM)
         assert run.iteration_time_us == pytest.approx(study.base_time_us)
+
+    def test_snapshot_drops_the_template_memo(self, study):
+        expected = study.predict("2x2x2").iteration_time_us
+        assert study._templates.template is not None
+        clone = pickle.loads(pickle.dumps(study))
+        assert clone._templates is None
+        assert clone.predict("2x2x2").iteration_time_us == expected
 
     def test_custom_model_survives_pickling(self, study):
         import dataclasses
